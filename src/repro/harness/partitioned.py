@@ -370,7 +370,7 @@ class PartitionedSimulation:
         #: instead of mutating peer-partition state directly
         self.router = None
         #: backend that executed the last ``run``
-        #: ("inproc" / "process" / "process-shm")
+        #: ("inproc" / "process" / "farm")
         self.last_run_backend: Optional[str] = None
         #: request-scoped correlation id (set by the service executor);
         #: backends propagate it into every worker/agent they fork
@@ -903,14 +903,12 @@ class PartitionedSimulation:
 
         ``backend`` selects the execution engine: ``"auto"`` honours the
         ``REPRO_BACKEND`` environment variable (``process`` runs each
-        partition in its own OS worker process when the simulation is
-        distributable and no ``stop`` callback is given — results are
-        bit-identical either way; ``process-shm`` additionally moves the
-        steady-state token frames over shared-memory rings instead of
-        pickled pipes; ``process-socket`` moves them over stream
-        sockets, the transport the farm layer stretches across hosts);
-        ``"process"`` / ``"process-shm"`` / ``"process-socket"`` demand
-        the distributed backend (raising
+        partition in its own OS worker process, exchanging token frames
+        with its linked peers over stream sockets, when the simulation
+        is distributable and no ``stop`` callback is given — results
+        are bit-identical either way); ``"process"`` (also spelled
+        ``"proc"``, ``"socket"`` or ``"process-socket"``) demands the
+        distributed backend (raising
         :class:`~repro.errors.BackendUnavailableError` /
         :class:`~repro.errors.UnsupportedTopologyError` when it cannot
         run); ``"inproc"`` forces the cooperative single-process loop.
@@ -919,16 +917,14 @@ class PartitionedSimulation:
         """
         from ..parallel import normalize_backend
         resolved = normalize_backend(backend)
-        if resolved in ("process", "process-shm", "process-socket"):
+        if resolved == "process":
             if stop is not None:
                 raise SimulationError(
                     "the process backend does not support stop "
                     "callbacks (they would need to observe every "
                     "worker's state every pass); use backend='inproc'")
             from ..parallel import ProcessBackend
-            transport = {"process": "pipe", "process-shm": "shm",
-                         "process-socket": "socket"}[resolved]
-            return ProcessBackend(transport=transport).run(
+            return ProcessBackend().run(
                 self, target_cycles, max_passes=max_passes)
         if resolved == "auto" and stop is None:
             from ..parallel import auto_backend

@@ -4,31 +4,24 @@ Workers exchange *effect frames*: one frame per (sender, pass) carrying
 every cross-partition side effect that sender's pass produced for one
 peer — token deliveries (with their modelled arrival times) and
 consume-time records (the credit returns the peer's senders price their
-credit stalls with).  Frames are the unit of ordering; bytes-on-the-wire
-are batched:
-
-* a :class:`FrameConduit` buffers outgoing frames and flushes them in
-  one pickled message every ``flush_interval`` passes (or sooner, when
-  the worker is about to block — a blocked worker always flushes first,
-  which keeps the wavefront live),
-* credit-based flow control bounds run-ahead: a sender may have at most
-  ``window`` un-acknowledged passes outstanding per peer; receivers
-  acknowledge the highest pass they have *applied* (piggybacked on
-  their own frames, or standalone when the reverse direction is quiet).
+credit stalls with).  Frames are the unit of ordering; the outgoing
+half of each stream (batching, credit windows, the wire codec) lives in
+:mod:`~repro.parallel.socket_transport`, the incoming half — a
+:class:`FrameInbox` holding frames until the schedule asks for them —
+here.
 
 The frame schedule — which pass of which peer a worker must apply
 before its own pass ``k`` — lives in the worker loop; this module only
-moves and accounts frames.
+holds and accounts frames.
 
 Control-plane messages (worker <-> coordinator) are plain tuples whose
 first element names the kind; see the module docstrings of
 ``worker``/``coordinator`` for the protocol.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 #: (link index, dst key, packed token word, arrival ns, rx serdes ns)
 Delivery = Tuple[int, Tuple[str, str], int, float, float]
@@ -69,143 +62,6 @@ class MetricFrame:
     busy_ns: float
     #: new (target cycle, {metric: value}) points since the last frame
     samples: List[tuple] = field(default_factory=list)
-
-
-class BaseConduit:
-    """Outgoing half of one worker->peer frame stream: the batching
-    buffer and the flow-control window, independent of the carrier.
-
-    ``push`` is called once per pass; ``flush`` hands the buffered
-    frames to the carrier-specific :meth:`_transmit` as one batch.
-    ``ack`` piggybacks the highest peer pass this worker has applied
-    (maintained by the inbox), so steady-state traffic needs no
-    standalone acknowledgements.  Subclasses implement only how a
-    batch and a standalone ack reach the wire — pipes, shared-memory
-    rings and sockets all share this accounting (the third transport
-    tier must not re-implement the first two's flow control).
-    """
-
-    def __init__(self, peer: str,
-                 flush_interval: int = 16,
-                 window: Optional[int] = None):
-        if flush_interval < 1:
-            raise ValueError("flush_interval must be >= 1")
-        self.peer = peer
-        self.flush_interval = flush_interval
-        self.window = window if window is not None \
-            else max(2 * flush_interval, 4)
-        self.buffer: List[EffectFrame] = []
-        #: highest own pass the peer has acknowledged applying
-        self.acked_through = 0
-        #: highest own pass pushed (buffered or sent)
-        self.pushed_through = 0
-        #: hook: returns the ack to piggyback (applied-through for peer)
-        self.ack_source = lambda: 0
-        #: messages actually written (for the batching benchmark)
-        self.messages_sent = 0
-        #: individual effects (deliveries + credits) those messages
-        #: carried — per-token messaging would pay one message each
-        self.effects_sent = 0
-
-    def window_open(self, pass_no: int) -> bool:
-        """May a frame for ``pass_no`` enter flight without waiting?"""
-        return pass_no - self.acked_through <= self.window
-
-    def push(self, frame: EffectFrame) -> None:
-        """Buffer one pass frame; flushes on a full batch.  The caller
-        must have confirmed :meth:`window_open` (blocking and draining
-        acknowledgements first if it was not)."""
-        self.buffer.append(frame)
-        self.pushed_through = frame.pass_no
-        self.effects_sent += len(frame.deliveries) + len(frame.credits)
-        if len(self.buffer) >= self.flush_interval:
-            self.flush()
-
-    def flush(self) -> None:
-        if not self.buffer:
-            return
-        batch = self.buffer
-        self.buffer = []
-        self._transmit(batch, self.ack_source())
-
-    def note_ack(self, through_pass: int) -> None:
-        if through_pass > self.acked_through:
-            self.acked_through = through_pass
-
-    def send_ack(self, through_pass: int) -> None:
-        """Write a standalone acknowledgement (no frames attached)."""
-        self._transmit_ack(through_pass)
-
-    # -- carrier interface ---------------------------------------------------
-
-    def _transmit(self, frames: List[EffectFrame], ack: int) -> None:
-        raise NotImplementedError
-
-    def _transmit_ack(self, through_pass: int) -> None:
-        raise NotImplementedError
-
-
-class FrameConduit(BaseConduit):
-    """Pipe-backed conduit: batches travel as one pickled
-    ``("frames", [...], ack)`` message per flush."""
-
-    def __init__(self, conn, peer: str,
-                 flush_interval: int = 16,
-                 window: Optional[int] = None):
-        super().__init__(peer, flush_interval=flush_interval,
-                         window=window)
-        self.conn = conn
-
-    def _transmit(self, frames: List[EffectFrame], ack: int) -> None:
-        self.conn.send(("frames", frames, ack))
-        self.messages_sent += 1
-
-    def _transmit_ack(self, through_pass: int) -> None:
-        self.conn.send(("ack", through_pass))
-
-
-class PackedConduit(BaseConduit):
-    """Conduit over a bounded byte carrier speaking the packed binary
-    record format (shared-memory rings, sockets).
-
-    Batches are struct-coded by a ``FramePacker`` and written through
-    the carrier-specific :meth:`_try_write`, which may refuse (full
-    ring, backpressured socket).  A refused write blocks *politely*:
-    the caller-supplied ``wait_step`` must keep the worker live (drain
-    incoming transports, service the control pipe, surface aborts) and
-    returns True when the write should be abandoned instead of retried
-    — the peer is dead, or the run is finalizing past the stop fence
-    and the remaining frames are empty service frames nobody will read.
-    Both non-pipe tiers share this loop; only ``_try_write`` differs.
-    """
-
-    def __init__(self, peer: str, packer,
-                 flush_interval: int = 16,
-                 window: Optional[int] = None,
-                 wait_step: Optional[Callable[[], bool]] = None):
-        super().__init__(peer, flush_interval=flush_interval,
-                         window=window)
-        self.packer = packer
-        self.wait_step = wait_step or (lambda: False)
-
-    def _transmit(self, frames: List[EffectFrame], ack: int) -> None:
-        self._write_blocking(self.packer.pack_frames(frames, ack))
-
-    def _transmit_ack(self, through_pass: int) -> None:
-        self._write_blocking(self.packer.pack_ack(through_pass))
-
-    def _write_blocking(self, payload: bytes) -> None:
-        while not self._try_write(payload):
-            if self.wait_step():
-                return  # abandoned: receiver no longer consumes
-        self.messages_sent += 1
-
-    # -- carrier interface ---------------------------------------------------
-
-    def _try_write(self, payload: bytes) -> bool:
-        """Accept one packed record, or False when the carrier is
-        full (the record was NOT taken and may be retried)."""
-        raise NotImplementedError
 
 
 class FrameInbox:

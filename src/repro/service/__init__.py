@@ -3,7 +3,7 @@ cache.
 
 The paper's workload only pays off at scale behind a service that
 queues, schedules and *deduplicates* runs; this package is that layer
-over the existing experiment pool and all four execution backends:
+over the existing experiment pool and every execution backend:
 
 * :mod:`~repro.service.jobs` — the job lifecycle objects,
 * :mod:`~repro.service.admission` — per-tenant quotas over a strict

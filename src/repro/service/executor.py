@@ -4,8 +4,9 @@ A job config is a plain JSON dict naming what to run.  Two kinds:
 
 * ``{"kind": "simulate", ...}`` — compile a circuit (from a ``circuit``
   file path or inline ``circuit_text``), partition it per ``extract``,
-  and run it on one of the four execution backends (``inproc``,
-  ``process``, ``process-shm``, ``process-socket``),
+  and run it on an execution backend (``auto``, ``inproc`` or
+  ``process``, under any spelling
+  :func:`~repro.parallel.normalize_backend` accepts),
 * ``{"kind": "experiment", "experiment": NAME}`` — one of the paper's
   table/figure experiments; the final partitioned run it performs is
   what gets archived (and therefore cached),
@@ -21,7 +22,10 @@ deterministic and order-insensitive.
 
 ``should_stop`` threads the service's cancellation signal into the
 harness's per-pass ``stop`` hook, so a cancel lands within one
-wavefront pass instead of after the run.
+wavefront pass instead of after the run.  The process backend takes no
+per-pass hook (its partitions run in separate workers), so on it — as
+for farm and experiment jobs — a cancel is honoured before the run
+starts.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from ..errors import ServiceError
 from ..fireripper import FireRipper, PartitionGroup, PartitionSpec
 from ..firrtl import parse_circuit
 from ..obsplane.stitch import event_to_dict
+from ..parallel import normalize_backend
 from ..platform import (
     ETHERNET_100G,
     HOST_PCIE,
@@ -247,8 +252,12 @@ def execute_config(config: dict, telemetry=None,
             sim.events = events
         stop = None
         if should_stop is not None:
-            def stop(_sim, _check=should_stop):  # noqa: F811
-                return _check()
+            if normalize_backend(config["backend"]) == "process":
+                if should_stop():
+                    raise ServiceError("cancelled before start")
+            else:
+                def stop(_sim, _check=should_stop):  # noqa: F811
+                    return _check()
         result = sim.run(config["cycles"], stop=stop,
                          backend=config["backend"])
         extra = None

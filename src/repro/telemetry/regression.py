@@ -18,9 +18,10 @@ Three kinds of checks, all threshold-configurable:
   :class:`~repro.telemetry.runs.RunRegistry` trajectory of its config
   fingerprint (the latest prior run of the same workload).
 * :func:`check_bench_files` — validate the committed
-  ``results/BENCH_*.json`` measurements against their own bounds (the
-  null-tracer overhead cap, wire batching actually batching, the fuzz
-  corpus compiling collision-free over every shape).
+  ``results/BENCH_*.json`` measurements against the :data:`BENCH_GATES`
+  table (the null-tracer overhead cap, socket batching actually
+  batching, the fuzz corpus compiling collision-free over every
+  shape); a present file missing a gated metric is a violation.
 
 The CI ``bench-regression`` job runs all of this via ``repro regress``
 and must fail on a >10% rate degradation — which the job proves by
@@ -30,6 +31,7 @@ also running with ``--inject-slowdown`` and expecting failure.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
@@ -94,6 +96,8 @@ class Violation:
         return (self.measured / self.baseline - 1.0) * 100.0
 
     def describe(self) -> str:
+        if math.isnan(self.measured):
+            return f"{self.source}: {self.metric} missing"
         return (f"{self.source}: {self.metric} degraded "
                 f"{self.delta_pct:+.1f}% "
                 f"({self.baseline:.6g} -> {self.measured:.6g}, "
@@ -158,138 +162,75 @@ def check_run(record: dict, registry: RunRegistry,
     return []
 
 
+#: Gates over the committed ``results/BENCH_*.json`` files, in check
+#: order: (file, metric, op, bound).  ``op`` is ``"<="`` or ``">="``
+#: against the bound, or ``"true"`` for a flag that must be set.  A
+#: numeric bound is literal; a string names another field of the same
+#: file; a ``(field, default)`` pair is a bound the bench writes itself.
+BENCH_GATES = (
+    ("BENCH_trace_overhead.json", "null_overhead_pct", "<=",
+     ("bound_pct", 5.0)),
+    ("BENCH_trace_overhead.json", "null_metrics_overhead_pct", "<=",
+     ("bound_pct", 5.0)),
+    ("BENCH_trace_overhead.json", "process_null_overhead_pct", "<=",
+     ("bound_pct", 5.0)),
+    ("BENCH_token_plane.json", "packed_codec_speedup", ">=", 5.0),
+    ("BENCH_token_plane.json", "detail_bit_identical", "true", None),
+    ("BENCH_fuzz_corpus.json", "compile_failures", "<=", 0),
+    ("BENCH_fuzz_corpus.json", "distinct_fingerprints", ">=",
+     "scenarios"),
+    ("BENCH_fuzz_corpus.json", "shapes_covered", ">=", "shapes_total"),
+    ("BENCH_service.json", "cached_speedup", ">=",
+     ("cached_speedup_floor", 10.0)),
+    ("BENCH_service.json", "detail_bit_identical", "true", None),
+    # repeats re-simulated: the cache failed its one job
+    ("BENCH_service.json", "executions", "<=", "distinct_configs"),
+    ("BENCH_service_metrics.json", "null_plane_overhead_pct", "<=",
+     ("bound_pct", 5.0)),
+    ("BENCH_service_metrics.json", "metrics_scrape_ok", "true", None),
+    ("BENCH_service_metrics.json", "corr_joined", "true", None),
+    ("BENCH_service_metrics.json", "events_logged", ">=", 1),
+    ("BENCH_socket_tier.json", "socket_batching_speedup", ">=", 1.0),
+    ("BENCH_socket_tier.json", "detail_bit_identical", "true", None),
+    ("BENCH_stepjit.json", "speedup", ">=", ("speedup_floor", 5.0)),
+    ("BENCH_stepjit.json", "detail_bit_identical", "true", None),
+)
+
+
 def check_bench_files(results_dir: Union[str, Path],
                       threshold: float = DEFAULT_THRESHOLD
                       ) -> List[Violation]:
-    """Validate committed benchmark measurements against their own
-    bounds."""
+    """Validate committed benchmark measurements against
+    :data:`BENCH_GATES`.  An absent file is not checked; a present file
+    missing a gated metric (or the field its bound names) fails
+    closed, as a violation measured as NaN."""
     results_dir = Path(results_dir)
     violations: List[Violation] = []
-
-    def load(name: str) -> Optional[dict]:
-        try:
-            return json.loads((results_dir / name).read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
-
-    trace = load("BENCH_trace_overhead.json")
-    if trace is not None:
-        bound = trace.get("bound_pct", 5.0)
-        for metric in ("null_overhead_pct",
-                       "null_metrics_overhead_pct",
-                       "process_null_overhead_pct"):
-            value = trace.get(metric)
-            if value is not None and value > bound:
-                violations.append(Violation(
-                    "BENCH_trace_overhead.json", metric,
-                    bound, value, 0.0))
-    parallel = load("BENCH_parallel_speedup.json")
-    if parallel is not None:
-        speedup = parallel.get("wire_batching_speedup")
-        if speedup is not None and speedup < 1.0:
-            violations.append(Violation(
-                "BENCH_parallel_speedup.json",
-                "wire_batching_speedup", 1.0, speedup, 0.0))
-    token_plane = load("BENCH_token_plane.json")
-    if token_plane is not None:
-        for metric, floor in (("packed_codec_speedup", 5.0),
-                              ("shm_vs_pipe_speedup", 2.0)):
-            value = token_plane.get(metric)
-            if value is not None and value < floor:
-                violations.append(Violation(
-                    "BENCH_token_plane.json", metric,
-                    floor, value, 0.0))
-        identical = token_plane.get("detail_bit_identical")
-        if identical is not None and not identical:
-            violations.append(Violation(
-                "BENCH_token_plane.json", "detail_bit_identical",
-                1.0, 0.0, 0.0))
-    fuzz_corpus = load("BENCH_fuzz_corpus.json")
-    if fuzz_corpus is not None:
-        failures = fuzz_corpus.get("compile_failures")
-        if failures is not None and failures > 0:
-            violations.append(Violation(
-                "BENCH_fuzz_corpus.json", "compile_failures",
-                0.0, float(failures), 0.0))
-        scenarios = fuzz_corpus.get("scenarios")
-        distinct = fuzz_corpus.get("distinct_fingerprints")
-        if scenarios is not None and distinct is not None \
-                and distinct < scenarios:
-            violations.append(Violation(
-                "BENCH_fuzz_corpus.json", "distinct_fingerprints",
-                float(scenarios), float(distinct), 0.0))
-        covered = fuzz_corpus.get("shapes_covered")
-        total = fuzz_corpus.get("shapes_total")
-        if covered is not None and total is not None \
-                and covered < total:
-            violations.append(Violation(
-                "BENCH_fuzz_corpus.json", "shapes_covered",
-                float(total), float(covered), 0.0))
-    service = load("BENCH_service.json")
-    if service is not None:
-        floor = service.get("cached_speedup_floor", 10.0)
-        speedup = service.get("cached_speedup")
-        if speedup is not None and speedup < floor:
-            violations.append(Violation(
-                "BENCH_service.json", "cached_speedup",
-                floor, speedup, 0.0))
-        identical = service.get("detail_bit_identical")
-        if identical is not None and not identical:
-            violations.append(Violation(
-                "BENCH_service.json", "detail_bit_identical",
-                1.0, 0.0, 0.0))
-        executions = service.get("executions")
-        distinct = service.get("distinct_configs")
-        if executions is not None and distinct is not None \
-                and executions > distinct:
-            # repeats re-simulated: the cache failed its one job
-            violations.append(Violation(
-                "BENCH_service.json", "executions",
-                float(distinct), float(executions), 0.0))
-    service_metrics = load("BENCH_service_metrics.json")
-    if service_metrics is not None:
-        bound = service_metrics.get("bound_pct", 5.0)
-        value = service_metrics.get("null_plane_overhead_pct")
-        if value is not None and value > bound:
-            violations.append(Violation(
-                "BENCH_service_metrics.json",
-                "null_plane_overhead_pct", bound, value, 0.0))
-        for flag in ("metrics_scrape_ok", "corr_joined"):
-            value = service_metrics.get(flag)
-            if value is not None and not value:
-                violations.append(Violation(
-                    "BENCH_service_metrics.json", flag,
-                    1.0, 0.0, 0.0))
-        events = service_metrics.get("events_logged")
-        if events is not None and events < 1:
-            violations.append(Violation(
-                "BENCH_service_metrics.json", "events_logged",
-                1.0, float(events), 0.0))
-    socket_tier = load("BENCH_socket_tier.json")
-    if socket_tier is not None:
-        speedup = socket_tier.get("socket_batching_speedup")
-        if speedup is not None and speedup < 1.0:
-            violations.append(Violation(
-                "BENCH_socket_tier.json",
-                "socket_batching_speedup", 1.0, speedup, 0.0))
-        identical = socket_tier.get("detail_bit_identical")
-        if identical is not None and not identical:
-            violations.append(Violation(
-                "BENCH_socket_tier.json", "detail_bit_identical",
-                1.0, 0.0, 0.0))
-    stepjit = load("BENCH_stepjit.json")
-    if stepjit is not None:
-        floor = stepjit.get("speedup_floor", 5.0)
-        speedup = stepjit.get("speedup")
-        if speedup is not None and speedup < floor:
-            violations.append(Violation(
-                "BENCH_stepjit.json", "speedup",
-                floor, speedup, 0.0))
-        identical = stepjit.get("detail_bit_identical")
-        if identical is not None and not identical:
-            violations.append(Violation(
-                "BENCH_stepjit.json", "detail_bit_identical",
-                1.0, 0.0, 0.0))
+    loaded: Dict[str, Optional[dict]] = {}
+    for name, metric, op, bound in BENCH_GATES:
+        if name not in loaded:
+            try:
+                loaded[name] = json.loads(
+                    (results_dir / name).read_text())
+            except (OSError, json.JSONDecodeError):
+                loaded[name] = None
+        bench = loaded[name]
+        if bench is None:
+            continue
+        if isinstance(bound, str):
+            bound = bench.get(bound)
+        elif isinstance(bound, tuple):
+            bound = bench.get(*bound)
+        value = bench.get(metric)
+        if value is None or (op != "true" and bound is None):
+            violations.append(Violation(name, metric, bound or 0.0,
+                                        math.nan, 0.0))
+        elif op == "true":
+            if not value:
+                violations.append(Violation(name, metric, 1.0, 0.0, 0.0))
+        elif not (value <= bound if op == "<=" else value >= bound):
+            violations.append(Violation(name, metric, float(bound),
+                                        float(value), 0.0))
     return violations
 
 

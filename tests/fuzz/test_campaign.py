@@ -90,7 +90,7 @@ class TestCampaign:
 class TestReproFiles:
     def test_save_load_roundtrip(self, tmp_path):
         sc = generate_scenario(7, 0, FAST_KNOBS)
-        failure = FuzzFailure("identity", "process-shm", "planted",
+        failure = FuzzFailure("identity", "process", "planted",
                               scenario=sc.to_dict())
         original = generate_scenario(7, 1, FAST_KNOBS)
         result = ShrinkResult(scenario=sc, failure=failure, rounds=2,

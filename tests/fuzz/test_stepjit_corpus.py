@@ -3,9 +3,9 @@
 Every repro in ``tests/fuzz/corpus/`` is replayed twice — compiled step
 functions on and off — and the full functional digest (tokens, per-
 partition cycles, the complete FMR ``detail`` breakdown, and the
-recorded output stream) must match bit for bit.  The same holds on
-every process backend, which exercises the worker-side compile path
-(`only=` restriction) and the shm/socket transports under the JIT.
+recorded output stream) must match bit for bit.  The same holds on the
+process backend, which exercises the worker-side compile path
+(`only=` restriction) and the socket data plane under the JIT.
 
 These are the tests the bit-exactness contract in
 ``repro.harness.stepjit`` points at: the generated code may reorder
@@ -20,7 +20,7 @@ from repro.fuzz import functional_digest, load_repro, make_sim
 from repro.parallel.coordinator import fork_available
 
 CORPUS = sorted((Path(__file__).parent / "corpus").glob("*.json"))
-PROCESS_BACKENDS = ("process", "process-shm", "process-socket")
+PROCESS_BACKENDS = ("process",)
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="process backends need os.fork")
@@ -72,8 +72,8 @@ def test_corpus_jit_matches_across_process_backends(path, backend):
 
 @needs_fork
 def test_backend_digests_agree_under_jit():
-    """All four backends produce one digest with the JIT on — the
-    compiled plans are transport-independent."""
+    """Both backends produce one digest with the JIT on — the
+    compiled plans are backend-independent."""
     path = CORPUS[0]
     _, _, reference = _replay(path, "inproc", True)
     for backend in PROCESS_BACKENDS:

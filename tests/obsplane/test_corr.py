@@ -31,9 +31,6 @@ BACKENDS = [
     pytest.param("process", id="process",
                  marks=pytest.mark.skipif(
                      not fork_available(), reason="needs fork")),
-    pytest.param("process-shm", id="process-shm",
-                 marks=pytest.mark.skipif(
-                     not fork_available(), reason="needs fork")),
     pytest.param("process-socket", id="process-socket",
                  marks=pytest.mark.skipif(
                      not (fork_available() and socket_available()),

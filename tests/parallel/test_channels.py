@@ -1,16 +1,6 @@
 """Unit tests for the frame/credit message layer."""
 
-import pytest
-
-from repro.parallel import EffectFrame, FrameConduit, FrameInbox
-
-
-class _FakeConn:
-    def __init__(self):
-        self.sent = []
-
-    def send(self, msg):
-        self.sent.append(msg)
+from repro.parallel import EffectFrame, FrameInbox
 
 
 def _frame(k, deliveries=(), credits=()):
@@ -22,51 +12,6 @@ class TestEffectFrame:
         assert _frame(1).empty
         assert not _frame(1, deliveries=[(0, ("a", "in"), {}, 0.0, 0.0)]).empty
         assert not _frame(1, credits=[(("a", "in"), 5.0)]).empty
-
-
-class TestFrameConduit:
-    def test_batches_until_flush_interval(self):
-        conn = _FakeConn()
-        conduit = FrameConduit(conn, "peer", flush_interval=4)
-        for k in range(1, 4):
-            conduit.push(_frame(k))
-        assert conn.sent == []          # 3 of 4 buffered
-        conduit.push(_frame(4))
-        assert len(conn.sent) == 1      # full batch flushed as ONE message
-        kind, frames, ack = conn.sent[0]
-        assert kind == "frames"
-        assert [f.pass_no for f in frames] == [1, 2, 3, 4]
-        assert conduit.messages_sent == 1
-
-    def test_explicit_flush_drains_partial_batch(self):
-        conn = _FakeConn()
-        conduit = FrameConduit(conn, "peer", flush_interval=16)
-        conduit.push(_frame(1))
-        conduit.flush()
-        assert len(conn.sent) == 1
-        conduit.flush()                  # idempotent on empty buffer
-        assert len(conn.sent) == 1
-
-    def test_piggybacked_ack_uses_hook(self):
-        conn = _FakeConn()
-        conduit = FrameConduit(conn, "peer", flush_interval=1)
-        conduit.ack_source = lambda: 42
-        conduit.push(_frame(1))
-        assert conn.sent[0][2] == 42
-
-    def test_window_blocks_unacked_runahead(self):
-        conduit = FrameConduit(_FakeConn(), "peer",
-                               flush_interval=2, window=8)
-        assert conduit.window_open(8)
-        assert not conduit.window_open(9)
-        conduit.note_ack(5)
-        assert conduit.window_open(13)
-        conduit.note_ack(3)              # stale acks never move backwards
-        assert conduit.acked_through == 5
-
-    def test_flush_interval_must_be_positive(self):
-        with pytest.raises(ValueError):
-            FrameConduit(_FakeConn(), "peer", flush_interval=0)
 
 
 class TestFrameInbox:

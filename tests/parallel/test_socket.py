@@ -1,13 +1,14 @@
-"""Socket transport tier: channel framing, rendezvous, backpressure,
-backend selection, and bit-identity with every other backend.
+"""The process backend's socket data plane: the frame codec, conduit
+flow control, channel framing, rendezvous, backpressure, backend
+selection, and bit-identity with the in-process loop.
 
-The socket tier's correctness claim is the same as the pipe and shm
-tiers': the carrier must be invisible.  These tests pin the invariants
-that rests on — length-prefixed records surviving arbitrary
-fragmentation, torn streams detected as peer death rather than
-corrupt frames, the pre-bound listener rendezvous connecting every
-linked pair exactly once, and ``max_pending`` backpressure feeding the
-conduit's wait-step loop instead of deadlocking it.
+The carrier must be invisible.  These tests pin the invariants that
+rests on — exact float/word round trips through the packed codec,
+length-prefixed records surviving arbitrary fragmentation, torn
+streams detected as peer death rather than corrupt frames, the
+pre-bound listener rendezvous connecting every linked pair exactly
+once, and ``max_pending`` backpressure feeding the conduit's wait-step
+loop instead of deadlocking it.
 """
 
 from __future__ import annotations
@@ -25,9 +26,13 @@ from repro.errors import (
     SocketSetupError,
     UnknownBackendError,
 )
+from repro.libdn import ChannelSpec, codec_for
 from repro.parallel import (
+    EffectFrame,
+    FramePacker,
     ProcessBackend,
     SocketChannel,
+    SocketConduit,
     connect_with_backoff,
     establish_channels,
     fork_available,
@@ -52,6 +57,164 @@ def pair():
     yield a, b
     a.close()
     b.close()
+
+
+def _packer():
+    spec_a = ChannelSpec.make("in", [("x", 8), ("y", 16)])
+    spec_b = ChannelSpec.make("in", [("v", 48)])
+
+    class _Link:
+        def __init__(self, dst):
+            self.dst = dst
+
+    class _Sim:
+        links = [_Link(("P1", "in")), _Link(("P2", "in"))]
+        _in_channel_by_key = {
+            ("P1", "in"): type("C", (), {"codec": codec_for(spec_a)})(),
+            ("P2", "in"): type("C", (), {"codec": codec_for(spec_b)})(),
+        }
+
+    return FramePacker.from_sim(_Sim())
+
+
+class TestFramePacker:
+    def test_frames_round_trip(self):
+        packer = _packer()
+        frames = [
+            EffectFrame("P0", 7,
+                        deliveries=[(0, ("P1", "in"), 0xABCDEF, 12.5,
+                                     3.25),
+                                    (1, ("P2", "in"),
+                                     (1 << 48) - 1, 0.1, 0.0)],
+                        credits=[(("P1", "in"), 99.75)]),
+            EffectFrame("P0", 8),  # empty service frame
+        ]
+        out, ack = packer.unpack(packer.pack_frames(frames, ack=41), "P0")
+        assert ack == 41
+        assert len(out) == 2
+        assert out[0].sender == "P0" and out[0].pass_no == 7
+        assert out[0].deliveries == frames[0].deliveries
+        assert out[0].credits == frames[0].credits
+        assert out[1].empty and out[1].pass_no == 8
+
+    def test_floats_round_trip_exactly(self):
+        packer = _packer()
+        ns = 1234.000000000000227373675443232059478759765625
+        frames = [EffectFrame("P0", 1,
+                              deliveries=[(0, ("P1", "in"), 1, ns, ns)],
+                              credits=[(("P2", "in"), ns)])]
+        out, _ = packer.unpack(packer.pack_frames(frames, 0), "P0")
+        _, _, word, arrive, rx = out[0].deliveries[0]
+        assert (arrive, rx) == (ns, ns)
+        assert out[0].credits[0] == (("P2", "in"), ns)
+
+    def test_ack_record(self):
+        packer = _packer()
+        assert packer.unpack(packer.pack_ack(17), "P0") == ([], 17)
+
+
+class _FakeChannel:
+    """Stands in for a SocketChannel: keeps accepted records, or
+    refuses every write (a backpressured peer) when ``accept`` is
+    False."""
+
+    def __init__(self, accept=True):
+        self.accept = accept
+        self.records = []
+
+    def try_write(self, payload):
+        if self.accept:
+            self.records.append(payload)
+        return self.accept
+
+    def try_flush(self):
+        return True
+
+
+def _frame(k, deliveries=()):
+    return EffectFrame("peer", k, list(deliveries))
+
+
+class TestSocketConduit:
+    def _conduit(self, channel=None, **kwargs):
+        return SocketConduit(channel or _FakeChannel(), "P1", _packer(),
+                             **kwargs)
+
+    def test_batches_until_flush_interval(self):
+        conduit = self._conduit(flush_interval=4)
+        chan = conduit.channel
+        for k in range(1, 4):
+            conduit.push(_frame(k))
+        assert chan.records == []        # 3 of 4 buffered
+        conduit.push(_frame(4))
+        assert len(chan.records) == 1    # full batch as ONE record
+        frames, _ = conduit.packer.unpack(chan.records[0], "P0")
+        assert [f.pass_no for f in frames] == [1, 2, 3, 4]
+        assert conduit.messages_sent == 1
+
+    def test_flush_and_window_accounting(self):
+        conduit = self._conduit(flush_interval=2)
+        chan = conduit.channel
+        conduit.ack_source = lambda: 5
+        conduit.push(_frame(1, [(0, ("P1", "in"), 7, 1.0, 0.5)]))
+        assert chan.records == []        # buffered below the batch size
+        conduit.push(_frame(2))
+        assert len(chan.records) == 1    # auto-flushed on a full batch
+        frames, ack = conduit.packer.unpack(chan.records[0], "P0")
+        assert ack == 5
+        assert [f.pass_no for f in frames] == [1, 2]
+        assert conduit.messages_sent == 1
+        assert conduit.effects_sent == 1
+        assert conduit.pushed_through == 2
+        assert conduit.window_open(2)
+        assert not conduit.window_open(conduit.window + 1)
+        conduit.note_ack(2)
+        assert conduit.acked_through == 2
+        assert conduit.window_open(conduit.window + 1)
+
+    def test_explicit_flush_drains_partial_batch(self):
+        conduit = self._conduit(flush_interval=16)
+        conduit.push(_frame(1))
+        conduit.flush()
+        assert len(conduit.channel.records) == 1
+        conduit.flush()                  # idempotent on empty buffer
+        assert len(conduit.channel.records) == 1
+
+    def test_piggybacked_ack_uses_hook(self):
+        conduit = self._conduit(flush_interval=1)
+        conduit.ack_source = lambda: 42
+        conduit.push(_frame(1))
+        _, ack = conduit.packer.unpack(conduit.channel.records[0], "P0")
+        assert ack == 42
+
+    def test_window_blocks_unacked_runahead(self):
+        conduit = self._conduit(flush_interval=2, window=8)
+        assert conduit.window_open(8)
+        assert not conduit.window_open(9)
+        conduit.note_ack(5)
+        assert conduit.window_open(13)
+        conduit.note_ack(3)              # stale acks never move backwards
+        assert conduit.acked_through == 5
+
+    def test_flush_interval_must_be_positive(self):
+        with pytest.raises(ValueError):
+            self._conduit(flush_interval=0)
+
+    def test_send_ack_round_trips(self):
+        conduit = self._conduit()
+        conduit.send_ack(9)
+        (record,) = conduit.channel.records
+        assert conduit.packer.unpack(record, "P1") == ([], 9)
+
+    def test_backpressured_write_abandons_on_wait_step(self):
+        steps = []
+        conduit = self._conduit(
+            _FakeChannel(accept=False), flush_interval=1,
+            wait_step=lambda: steps.append(1) or len(steps) >= 3)
+        conduit.push(_frame(1, [(1, ("P2", "in"), 0, 0.0, 0.0)]))
+        assert len(steps) == 3  # spun until told to abandon
+        assert conduit.buffer == []
+        assert conduit.messages_sent == 0
 
 
 class TestSocketChannel:
@@ -260,11 +423,12 @@ class TestRendezvous:
 
 class TestBackendSelection:
     def test_unknown_backend_argument_raises(self):
-        sim = build_star_sim()
-        with pytest.raises(UnknownBackendError) as err:
-            sim.run(20, backend="process-sock")
-        assert "process-socket" in str(err.value)
-        assert "valid backends" in str(err.value)
+        for name in ("process-sock", "process-shm", "shm"):
+            sim = build_star_sim()
+            with pytest.raises(UnknownBackendError) as err:
+                sim.run(20, backend=name)
+            assert "process-socket" in str(err.value)
+            assert "valid backends" in str(err.value)
 
     def test_unknown_env_backend_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "bogus")
@@ -273,11 +437,11 @@ class TestBackendSelection:
             sim.run(20)
 
     def test_aliases_normalize(self):
-        assert normalize_backend("socket") == "process-socket"
-        assert normalize_backend("shm") == "process-shm"
-        assert normalize_backend(" Process ") == "process"
-        with pytest.raises(UnknownBackendError):
-            normalize_backend(None)
+        for name in ("socket", "process-socket", "proc", " Process "):
+            assert normalize_backend(name) == "process"
+        for name in ("shm", "process-shm", None):
+            with pytest.raises(UnknownBackendError):
+                normalize_backend(name)
 
 
 @pytest.mark.skipif(not (fork_available() and socket_available()),
@@ -286,12 +450,13 @@ class TestSocketBackend:
     CYCLES = 300
 
     def test_four_way_detail_bit_identity(self):
+        """In-process plus the process backend under each of its
+        spellings: every run lands on the same detail."""
         results = {}
-        for backend in ("inproc", "process", "process-shm",
-                        "process-socket"):
+        for backend in ("inproc", "process", "process-socket", "proc"):
             sim = build_star_sim(3)
             results[backend] = sim.run(self.CYCLES, backend=backend)
-            assert sim.last_run_backend == backend
+            assert sim.last_run_backend == normalize_backend(backend)
         reference = results["inproc"].detail
         for backend, result in results.items():
             assert result.detail == reference, backend
@@ -299,8 +464,7 @@ class TestSocketBackend:
     def test_unix_family_matches(self):
         reference = build_star_sim().run(self.CYCLES,
                                          backend="inproc")
-        backend = ProcessBackend(transport="socket",
-                                 socket_family="unix")
+        backend = ProcessBackend(socket_family="unix")
         result = backend.run(build_star_sim(), self.CYCLES)
         assert result.detail == reference.detail
 
@@ -308,15 +472,14 @@ class TestSocketBackend:
         monkeypatch.setenv("REPRO_BACKEND", "process-socket")
         sim = build_star_sim()
         sim.run(60)
-        assert sim.last_run_backend == "process-socket"
+        assert sim.last_run_backend == "process"
 
     def test_killed_worker_surfaces_and_cleans_up(self):
         import multiprocessing as mp
 
         from repro.errors import WorkerError
 
-        backend = ProcessBackend(transport="socket",
-                                 worker_faults={"fpga1": ("kill", 3)})
+        backend = ProcessBackend(worker_faults={"fpga1": ("kill", 3)})
         with pytest.raises(WorkerError) as err:
             backend.run(build_star_sim(), self.CYCLES)
         assert err.value.partition == "fpga1"

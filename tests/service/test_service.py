@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.errors import QuotaExceededError
+from repro.parallel import fork_available
 from repro.service import (
     ServiceConfig,
     SimulationService,
@@ -282,3 +283,30 @@ class TestJobKinds:
         assert stats["counters"]["executions"] == 1
         assert stats["cache"]["fills"] == 1
         assert "admission" in stats
+
+
+@pytest.mark.skipif(not fork_available(),
+                    reason="process backend needs fork")
+class TestProcessBackendJobs:
+    def test_process_job_matches_inproc_result(self, make_config,
+                                               service_config):
+        """A ``backend: process`` job runs without the per-pass stop
+        hook and archives the in-process job's result, bit for bit."""
+
+        async def scenario(service):
+            jobs = [await service.submit(make_config(backend=backend))
+                    for backend in ("inproc", "process")]
+            for job in jobs:
+                await service.wait(job.job_id, timeout=60)
+            return jobs, service
+
+        (inproc, process), service = run_scenario(scenario,
+                                                  service_config)
+        assert inproc.state == "done", inproc.error
+        assert process.state == "done", process.error
+        assert process.result["backend"] == "process"
+        for key in ("target_cycles", "wall_ns", "rate_hz",
+                    "tokens_transferred"):
+            assert process.result[key] == inproc.result[key], key
+        assert service.registry.load(process.run_id)["detail"] \
+            == service.registry.load(inproc.run_id)["detail"]

@@ -1,6 +1,8 @@
 """The regression detector and the ``repro regress`` gate."""
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,8 @@ from repro.telemetry import (
 )
 
 BASE = {"pair_exact_qsfp": 1000.0, "pair_fast_qsfp": 3000.0}
+
+RESULTS = Path(__file__).resolve().parents[2] / "results"
 
 
 class TestBaselineFile:
@@ -86,33 +90,33 @@ class TestCheckBenchFiles:
             "bound_pct": 5.0,
             "null_overhead_pct": 1.0,
             "null_metrics_overhead_pct": 7.5,
+            "process_null_overhead_pct": 0.5,
         }))
         violations = check_bench_files(tmp_path)
         assert [v.metric for v in violations] \
             == ["null_metrics_overhead_pct"]
 
     def test_batching_slower_than_per_token_flags(self, tmp_path):
-        (tmp_path / "BENCH_parallel_speedup.json").write_text(
-            json.dumps({"wire_batching_speedup": 0.8}))
+        (tmp_path / "BENCH_socket_tier.json").write_text(json.dumps({
+            "socket_batching_speedup": 0.8,
+            "detail_bit_identical": True,
+        }))
         violations = check_bench_files(tmp_path)
         assert [v.metric for v in violations] \
-            == ["wire_batching_speedup"]
+            == ["socket_batching_speedup"]
 
     def test_token_plane_below_floors_flags(self, tmp_path):
         (tmp_path / "BENCH_token_plane.json").write_text(json.dumps({
             "packed_codec_speedup": 4.2,
-            "shm_vs_pipe_speedup": 1.5,
             "detail_bit_identical": False,
         }))
         violations = check_bench_files(tmp_path)
         assert [v.metric for v in violations] == [
-            "packed_codec_speedup", "shm_vs_pipe_speedup",
-            "detail_bit_identical"]
+            "packed_codec_speedup", "detail_bit_identical"]
 
     def test_token_plane_at_floors_passes(self, tmp_path):
         (tmp_path / "BENCH_token_plane.json").write_text(json.dumps({
             "packed_codec_speedup": 5.0,
-            "shm_vs_pipe_speedup": 2.0,
             "detail_bit_identical": True,
         }))
         assert check_bench_files(tmp_path) == []
@@ -182,6 +186,21 @@ class TestCheckBenchFiles:
 
     def test_empty_results_dir_passes(self, tmp_path):
         assert check_bench_files(tmp_path) == []
+
+    def test_missing_metric_fails_closed(self, tmp_path):
+        """A bench file that stops writing a gated metric fails its
+        gate instead of silently passing it."""
+        for path in RESULTS.glob("BENCH_*.json"):
+            shutil.copy(path, tmp_path / path.name)
+        assert check_bench_files(tmp_path) == []
+        path = tmp_path / "BENCH_socket_tier.json"
+        bench = json.loads(path.read_text())
+        del bench["socket_batching_speedup"]
+        path.write_text(json.dumps(bench))
+        violations = check_bench_files(tmp_path)
+        assert [v.metric for v in violations] \
+            == ["socket_batching_speedup"]
+        assert violations[0].describe().endswith("missing")
 
 
 class TestGate:
