@@ -23,9 +23,8 @@ is what lets the LI-BDN channel plan pair them up later.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..errors import IRError, SelectionError
 from ..firrtl.ast import (
@@ -48,7 +47,7 @@ from ..firrtl.ast import (
     PrimOp,
     Ref,
 )
-from ..firrtl.circuit import Circuit, Module
+from ..firrtl.circuit import Circuit, Module, reachable_modules
 
 
 @dataclass(frozen=True)
@@ -140,7 +139,7 @@ def _uniquify_path(circuit: Circuit, path: str) -> None:
         inst = mod.instance(segment)
         child_name = inst.module
         if _instantiation_count(circuit, child_name) > 1:
-            clone = copy.deepcopy(circuit.module(child_name))
+            clone = circuit.module(child_name).clone()
             base = f"{child_name}_uniq"
             fresh = base
             i = 0
@@ -188,8 +187,7 @@ def _hoist_once(circuit: Circuit, path: str) -> str:
             parent.ports.append(Port(punched, INPUT, q.width))
         port_map.append((q, punched))
 
-    for s in stmts_to_remove:
-        parent.stmts.remove(s)
+    _drop_stmts(parent, stmts_to_remove)
 
     # reads of the hoisted instance's outputs become reads of the punched
     # input ports
@@ -229,18 +227,29 @@ def _reparent_to_top(circuit: Circuit, path: str) -> str:
 # --------------------------------------------------------------------------
 
 
-def _eliminate_dead_glue(module: Module) -> None:
-    """Drop wires/nodes (and their drivers) no longer reachable from the
-    module's outputs, registers, memories, or remaining instances."""
+def _drop_stmts(module: Module, stmts: List) -> None:
+    """Remove exactly these statement objects (by identity) in one pass."""
+    drop = {id(s) for s in stmts}
+    module.stmts = [s for s in module.stmts if id(s) not in drop]
+
+
+def _local_drivers(module: Module) -> Dict[str, Expr]:
+    """Local name -> the expression a node or local connect gives it."""
     drivers: Dict[str, Expr] = {}
-    read_ports: Dict[str, MemReadPort] = {}
     for s in module.stmts:
         if isinstance(s, DefNode):
             drivers[s.name] = s.expr
         elif isinstance(s, Connect) and isinstance(s.target, LocalTarget):
             drivers[s.target.name] = s.expr
-        elif isinstance(s, MemReadPort):
-            read_ports[s.name] = s
+    return drivers
+
+
+def _eliminate_dead_glue(module: Module) -> None:
+    """Drop wires/nodes (and their drivers) no longer reachable from the
+    module's outputs, registers, memories, or remaining instances."""
+    drivers = _local_drivers(module)
+    read_ports = {s.name: s for s in module.stmts
+                  if isinstance(s, MemReadPort)}
 
     output_names = {p.name for p in module.output_ports}
     reg_names = {r.name for r in module.registers()}
@@ -296,15 +305,11 @@ def _eliminate_dead_glue(module: Module) -> None:
 # --------------------------------------------------------------------------
 
 
-def _trace_direct(module: Module, expr: Expr) -> Optional[InstPort]:
-    """Follow single-reference wire/node chains; return the InstPort this
-    expression is (transitively) a plain copy of, if any."""
-    drivers: Dict[str, Expr] = {}
-    for s in module.stmts:
-        if isinstance(s, DefNode):
-            drivers[s.name] = s.expr
-        elif isinstance(s, Connect) and isinstance(s.target, LocalTarget):
-            drivers[s.target.name] = s.expr
+def _trace_direct(drivers: Dict[str, Expr],
+                  expr: Expr) -> Optional[InstPort]:
+    """Follow single-reference wire/node chains through ``drivers`` (see
+    :func:`_local_drivers`); return the InstPort this expression is
+    (transitively) a plain copy of, if any."""
     seen: Set[str] = set()
     while True:
         if isinstance(expr, InstPort):
@@ -389,6 +394,7 @@ def extract_partitions(circuit: Circuit,
     top = work.top_module
     selected = set(group_of)
     conn = top.connect_map()
+    drivers = _local_drivers(top)
     wrappers = {g: _WrapperBuilder(g) for g in groups}
     nets: List[RawNet] = []
     net_names: Set[str] = set()
@@ -417,7 +423,7 @@ def extract_partitions(circuit: Circuit,
             driver = conn.get(f"{inst_name}.{q.name}")
             if driver is not None:
                 removed_stmts.append(driver)
-            direct = (_trace_direct(top, driver.expr)
+            direct = (_trace_direct(drivers, driver.expr)
                       if driver is not None else None)
             if direct is not None and direct.inst in selected \
                     and direct.width == q.width:
@@ -440,8 +446,7 @@ def extract_partitions(circuit: Circuit,
             wb.add_input(net, q.width, inst_name, q.name)
             nets.append(RawNet(net, q.width, base_name, gname))
 
-    for s in removed_stmts:
-        top.stmts.remove(s)
+    _drop_stmts(top, removed_stmts)
 
     # 4a. clean dead glue, then expose member outputs the base still reads
     _eliminate_dead_glue(top)
@@ -468,22 +473,25 @@ def extract_partitions(circuit: Circuit,
 
     _rewrite_module_exprs(top, replace_member_reads)
 
-    # 4b. assemble per-partition circuits
-    partitions: Dict[str, Circuit] = {}
-    base_circuit = Circuit(top.name, [copy.deepcopy(m) for m in
-                                      work.modules.values()])
-    base_circuit.remove_unreachable()
-    partitions[base_name] = base_circuit
+    # 4b. assemble per-partition circuits, each owning clones of just
+    # the modules reachable from its top
+    partitions: Dict[str, Circuit] = {
+        base_name: _partition_circuit(top.name, work.modules.values())}
+    below_top = [m for m in work.modules.values() if m.name != top.name]
     for gname, wb in wrappers.items():
-        modules = [wb.module] + [copy.deepcopy(m)
-                                 for m in work.modules.values()
-                                 if m.name != top.name]
-        part = Circuit(wb.module.name, modules)
-        part.remove_unreachable()
-        partitions[gname] = part
+        partitions[gname] = _partition_circuit(
+            wb.module.name, [wb.module] + below_top)
 
     return ExtractedDesign(partitions=partitions, nets=nets,
                            group_members=members, base_name=base_name)
+
+
+def _partition_circuit(top: str, modules: Iterable[Module]) -> Circuit:
+    """A circuit rooted at ``top`` holding clones of just the modules it
+    reaches, in ``modules`` order."""
+    modules = list(modules)
+    reach = reachable_modules({m.name: m for m in modules}, top)
+    return Circuit(top, [m.clone() for m in modules if m.name in reach])
 
 
 def remove_modules(circuit: Circuit, paths: Sequence[str],

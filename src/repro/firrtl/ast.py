@@ -28,7 +28,18 @@ from ..errors import IRError
 # --------------------------------------------------------------------------
 
 
-class Expr:
+class _Shared:
+    """Mixin for immutable IR values.  Circuits share them, so a copy
+    (shallow or deep) returns the value itself."""
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+
+class Expr(_Shared):
     """Base class for IR expressions.  Immutable; ``width`` is resolved."""
 
     width: int
@@ -166,7 +177,16 @@ class PrimOp(Expr):
 
 
 class Stmt:
-    """Base class for IR statements."""
+    """Base class for IR statements (ports included).  Mutable, so each
+    belongs to one module; a copy is shallow, sharing the immutable
+    fields."""
+
+    def __copy__(self):
+        # the attribute copy ``copy.copy`` would make via __reduce_ex__,
+        # at a third of the cost
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__)
+        return new
 
 
 INPUT = "input"
@@ -277,7 +297,7 @@ class DefInstance(Stmt):
 
 
 @dataclass(frozen=True)
-class LocalTarget:
+class LocalTarget(_Shared):
     """Connect target naming a local wire, output port, or register next."""
 
     name: str
@@ -287,7 +307,7 @@ class LocalTarget:
 
 
 @dataclass(frozen=True)
-class InstTarget:
+class InstTarget(_Shared):
     """Connect target naming an instance *input* port."""
 
     inst: str

@@ -3,13 +3,14 @@
 A :class:`Module` owns an ordered list of statements plus index structures
 (ports, signal widths, instances, connect map) that passes use constantly.
 A :class:`Circuit` is a named set of modules with a designated top.  Both
-are mutable — FireRipper's transforms rewrite them in place on deep copies.
+are mutable — FireRipper's transforms rewrite them in place on clones,
+which copy every port and statement but share the immutable expressions.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Set
 
 from ..errors import IRError
 from . import ast
@@ -133,9 +134,30 @@ class Module:
             i += 1
         return f"{base}_{i}"
 
+    def clone(self) -> "Module":
+        """A copy owning fresh ports and statements.  Every statement
+        field is an int, str, tuple or immutable expression, so this is
+        a deep copy that shares the expressions."""
+        return Module(self.name, [copy.copy(p) for p in self.ports],
+                      [copy.copy(s) for s in self.stmts])
+
     def __repr__(self) -> str:
         return (f"Module({self.name!r}, {len(self.ports)} ports, "
                 f"{len(self.stmts)} stmts)")
+
+
+def reachable_modules(modules: Dict[str, Module], top: str) -> Set[str]:
+    """Names of ``top`` and every module it instantiates, transitively."""
+    keep: Set[str] = set()
+    stack = [top]
+    while stack:
+        name = stack.pop()
+        if name in keep:
+            continue
+        keep.add(name)
+        for inst in modules[name].instances():
+            stack.append(inst.module)
+    return keep
 
 
 class Circuit:
@@ -164,20 +186,13 @@ class Circuit:
         return self.modules[name]
 
     def clone(self) -> "Circuit":
-        """Deep copy, so transforms never mutate the caller's circuit."""
-        return copy.deepcopy(self)
+        """Copy every module (see :meth:`Module.clone`), so transforms
+        never mutate the caller's circuit."""
+        return Circuit(self.top, [m.clone() for m in self.modules.values()])
 
     def remove_unreachable(self) -> None:
         """Drop modules not instantiated (transitively) from the top."""
-        keep = set()
-        stack = [self.top]
-        while stack:
-            name = stack.pop()
-            if name in keep:
-                continue
-            keep.add(name)
-            for inst in self.modules[name].instances():
-                stack.append(inst.module)
+        keep = reachable_modules(self.modules, self.top)
         self.modules = {n: m for n, m in self.modules.items() if n in keep}
 
     def instance_paths(self, module_name: str) -> List[str]:

@@ -56,11 +56,27 @@ def check_module(module: Module, circuit: Circuit = None) -> None:
     insts: Dict[str, str] = {i.name: i.module for i in module.instances()}
     inputs = {p.name for p in module.input_ports}
     connect_targets: Set[str] = set()
+    # name -> width, built once (names are unique past the check above)
+    mem_widths = {m.name: m.width for m in module.memories()}
+    widths = {p.name: p.width for p in module.ports}
+    for s in module.stmts:
+        if isinstance(s, (DefWire, DefRegister)):
+            widths[s.name] = s.width
+        elif isinstance(s, DefNode):
+            widths[s.name] = s.expr.width
+        elif isinstance(s, MemReadPort) and s.mem in mem_widths:
+            widths[s.name] = mem_widths[s.mem]
+
+    def width_of(name: str):
+        # a miss falls back to the scan, which raises for a read port of
+        # an undeclared memory and returns None for an undeclared name
+        width = widths.get(name)
+        return width if width is not None else module.try_signal_width(name)
 
     def check_expr(expr: Expr) -> None:
         for leaf in expr.refs():
             if isinstance(leaf, Ref):
-                width = module.try_signal_width(leaf.name)
+                width = width_of(leaf.name)
                 if width is None:
                     raise IRError(
                         f"{module.name}: reference to undeclared signal "
@@ -101,7 +117,7 @@ def check_module(module: Module, circuit: Circuit = None) -> None:
                     raise IRError(
                         f"{module.name}: cannot drive input port {name!r}"
                     )
-                width = module.try_signal_width(name)
+                width = width_of(name)
                 if width is None:
                     raise IRError(
                         f"{module.name}: connect to undeclared {name!r}"

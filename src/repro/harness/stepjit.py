@@ -51,6 +51,14 @@ words (exact: pure logic over equal state and equal inputs cannot
 differ).  See the "kernel tier" comment block below for the env
 staleness contract this buys speed with.
 
+Both tiers, like the RTL engine's comb/tick functions, turn source into
+code through :func:`repro.rtl.eval.compile_source`: a bounded
+per-process memo of ``compile`` keyed on the source text.  Sources
+carry no per-job data (bindings enter as ``_make`` arguments, memory
+images live in the env), so rebuilding the same design — a new job, a
+design variant, or the step-function regeneration at every ``run()``
+entry — pays only generation and ``exec``, never a second parse.
+
 Tracer and telemetry emit sites are *compiled out*: a partition is only
 eligible when the null sinks are installed, so the generated code
 contains no flag checks at all.  The same applies to reliability
@@ -84,7 +92,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from ..libdn.codec import INCOMPATIBLE
 from ..rtl.elaborate import FlatAssign
 from ..rtl.engine import _ref_names
-from ..rtl.eval import CODEGEN_HELPERS, compile_expr, mask
+from ..rtl.eval import CODEGEN_HELPERS, compile_expr, compile_source, mask
 
 __all__ = [
     "stepjit_enabled",
@@ -404,7 +412,7 @@ def _compile_kernel(elab, pack_lists, do_tick: bool, tag: str,
     src = ("def _k(env, mems, _div=_div, _rem=_rem):\n"
            + "\n".join(lines) + "\n")
     namespace: Dict[str, object] = dict(CODEGEN_HELPERS)
-    exec(compile(src, f"<stepjit-kernel:{tag}>", "exec"), namespace)
+    exec(compile_source(src, f"<stepjit-kernel:{tag}>"), namespace)
     fn = namespace["_k"]
     fn._stepjit_source = src  # for ``repro jit --dump``
     return fn
@@ -1029,7 +1037,7 @@ def compile_step_functions(sim, only: Optional[Set[str]] = None,
         cg = _PartitionCodegen(sim, pplan, eval_dedup=eval_dedup)
         src, bindings = cg.generate()
         namespace: Dict[str, object] = {}
-        exec(compile(src, f"<stepjit:{name}>", "exec"), namespace)
+        exec(compile_source(src, f"<stepjit:{name}>"), namespace)
         fns[name] = namespace["_make"](bindings)
         report[name] = (f"compiled: {len(pplan.unit_plans)} unit(s) "
                         f"({len(cg.kernel_units)} fused-kernel), "

@@ -603,11 +603,17 @@ class ProcessBackend:
         frontier = min(states[n].postmortem["frontier"]
                        for n in sim.partitions)
         if sim.tracer.enabled:
-            sim.tracer.emit(TraceEvent(
+            deadlock = TraceEvent(
                 "deadlock",
                 ts_ns=max(states[n].postmortem["busy_until"]
                           for n in sim.partitions),
-                args={"host_passes": k_star, "frontier": frontier}))
+                args={"host_passes": k_star, "frontier": frontier})
+            sim.tracer.emit(deadlock)
+            # the in-process ring ends with the deadlock event too
+            events.append(deadlock)
+        # the drops that starved the wavefront, as the serial loop counts
+        sim.dropped_tokens += sum(states[n].postmortem["dropped_delta"]
+                                  for n in sim.partitions)
         postmortem = DeadlockPostmortem(
             host_passes=k_star,
             frontier_cycle=frontier,

@@ -536,6 +536,7 @@ class PartitionWorker:
             "frontier": part.target_cycle,
             "busy_until": part.busy_until,
             "stuck": [unit.stuck_detail() for _, unit in part.units],
+            "dropped_delta": self.sim.dropped_tokens - self._dropped0,
             "channels": {
                 (prefix + unit.name if prefix else unit.name):
                     unit.channel_state()

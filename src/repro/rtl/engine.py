@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Union
 
 from ..errors import SimulationError
+from ..firrtl.ast import Ref
 from ..firrtl.circuit import Circuit
 from .elaborate import (
     Elaboration,
@@ -26,7 +27,8 @@ from .elaborate import (
     FlatMemRead,
     elaborate,
 )
-from .eval import CODEGEN_HELPERS, compile_expr, eval_expr, mask
+from .eval import (CODEGEN_HELPERS, compile_expr, compile_source,
+                   eval_expr, mask)
 
 
 class Simulator:
@@ -251,14 +253,12 @@ def _compile(elab: Elaboration):
         "\n".join(tick_body) if tick_body else "    pass") + "\n"
 
     namespace: Dict[str, object] = dict(CODEGEN_HELPERS)
-    exec(compile(comb_src, f"<comb:{elab.top}>", "exec"), namespace)
-    exec(compile(tick_src, f"<tick:{elab.top}>", "exec"), namespace)
+    exec(compile_source(comb_src, f"<comb:{elab.top}>"), namespace)
+    exec(compile_source(tick_src, f"<tick:{elab.top}>"), namespace)
     return namespace["_comb"], namespace["_tick"]
 
 
 def _ref_names(expr) -> Iterable[str]:
-    from ..firrtl.ast import Ref
-
     for leaf in expr.refs():
         if isinstance(leaf, Ref):
             yield leaf.name

@@ -14,6 +14,8 @@ undefined case, applied identically in both implementations).
 
 from __future__ import annotations
 
+import functools
+from types import CodeType
 from typing import Callable, Dict
 
 from ..errors import SimulationError
@@ -36,6 +38,19 @@ def _rem(a: int, b: int) -> int:
 
 #: names the compiled engine must inject into the exec namespace
 CODEGEN_HELPERS = {"_div": _div, "_rem": _rem}
+
+
+@functools.lru_cache(maxsize=256)
+def compile_source(src: str, filename: str) -> CodeType:
+    """``compile(src, filename, "exec")``, once per process per source.
+
+    Generated sources repeat across rebuilds of the same design (memory
+    images and bindings live in the exec namespace, not in the code), and
+    ``compile`` holds the GIL for the whole parse, so every code
+    generator goes through this memo.  Code objects are immutable; each
+    caller still ``exec``'s into its own namespace.
+    """
+    return compile(src, filename, "exec")
 
 
 def eval_expr(expr: Expr, env: Dict[str, int]) -> int:

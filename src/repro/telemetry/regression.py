@@ -21,7 +21,8 @@ Three kinds of checks, all threshold-configurable:
   ``results/BENCH_*.json`` measurements against the :data:`BENCH_GATES`
   table (the null-tracer overhead cap, socket batching actually
   batching, the fuzz corpus compiling collision-free over every
-  shape); a present file missing a gated metric is a violation.
+  shape); a missing or unreadable file, or a file missing a gated
+  metric, is a violation.
 
 The CI ``bench-regression`` job runs all of this via ``repro regress``
 and must fail on a >10% rate degradation — which the job proves by
@@ -201,22 +202,20 @@ def check_bench_files(results_dir: Union[str, Path],
                       threshold: float = DEFAULT_THRESHOLD
                       ) -> List[Violation]:
     """Validate committed benchmark measurements against
-    :data:`BENCH_GATES`.  An absent file is not checked; a present file
-    missing a gated metric (or the field its bound names) fails
-    closed, as a violation measured as NaN."""
+    :data:`BENCH_GATES`.  Every gate fails closed: an absent or
+    unparseable file, or one missing a gated metric (or the field its
+    bound names), is a violation measured as NaN."""
     results_dir = Path(results_dir)
     violations: List[Violation] = []
-    loaded: Dict[str, Optional[dict]] = {}
+    loaded: Dict[str, dict] = {}
     for name, metric, op, bound in BENCH_GATES:
         if name not in loaded:
             try:
                 loaded[name] = json.loads(
                     (results_dir / name).read_text())
             except (OSError, json.JSONDecodeError):
-                loaded[name] = None
+                loaded[name] = {}  # every gate on it reads as missing
         bench = loaded[name]
-        if bench is None:
-            continue
         if isinstance(bound, str):
             bound = bench.get(bound)
         elif isinstance(bound, tuple):

@@ -3,15 +3,20 @@
 import pytest
 
 from repro.errors import SelectionError
-from repro.firrtl import ModuleBuilder, make_circuit
+from repro.firrtl import ModuleBuilder, make_circuit, print_circuit
 from repro.firrtl.passes import check_circuit
+from repro.fireripper import FireRipper, PartitionGroup, PartitionSpec
 from repro.fireripper.extract import (
     ExtractedDesign,
     extract_partitions,
     remove_modules,
 )
+from repro.fuzz.oracle import functional_digest
+from repro.platform import QSFP_AURORA
 from repro.rtl import Simulator
+from repro.rtl.eval import compile_source
 from repro.targets import make_comb_pair_circuit
+from repro.targets.soc import make_star_soc
 
 
 def _deep_circuit():
@@ -180,3 +185,65 @@ class TestRemoval:
         # the punched boundary is now top-level I/O
         port_names = {p.name for p in removed.top_module.ports}
         assert any("right" in n for n in port_names)
+
+
+def _owned_ids(circuit):
+    """ids of every mutable IR object (ports and statements)."""
+    return {id(x) for m in circuit.modules.values()
+            for x in m.ports + m.stmts}
+
+
+def _star_fast_spec():
+    return PartitionSpec(mode="fast", groups=[
+        PartitionGroup.make("fpga0", ["tile0"]),
+        PartitionGroup.make("fpga1", ["tile1"])])
+
+
+class TestIRSharing:
+    """Partitions share immutable expressions with the input and with
+    each other, but never a port or statement."""
+
+    def test_extract_leaves_input_text_unchanged(self):
+        c = _deep_circuit()
+        before = print_circuit(c)
+        extract_partitions(c, {"g": ["w.inner"], "h": ["direct"]})
+        assert print_circuit(c) == before
+
+    def test_fast_compile_leaves_input_text_unchanged(self):
+        c = make_star_soc(2)
+        before = print_circuit(c)
+        design = FireRipper(_star_fast_spec()).compile(c)
+        assert any(m.startswith("FireAxeSkidBuffer")
+                   for p in design.partitions.values() for m in p.modules)
+        assert print_circuit(c) == before
+
+    def test_no_port_or_statement_shared(self):
+        c = make_star_soc(2)
+        design = FireRipper(_star_fast_spec()).compile(c)
+        owned = [_owned_ids(c)] + [_owned_ids(p) for p in
+                                   design.partitions.values()]
+        for i, a in enumerate(owned):
+            for b in owned[i + 1:]:
+                assert a.isdisjoint(b)
+
+    def test_partitions_hold_only_reachable_modules(self):
+        c = _deep_circuit()
+        design = extract_partitions(c, {"g": ["w.inner"]})
+        for part in design.partitions.values():
+            before = list(part.modules)
+            part.remove_unreachable()
+            assert list(part.modules) == before
+
+    def test_rebuild_is_identical_and_compiles_nothing(self):
+        def build():
+            design = FireRipper(_star_fast_spec()).compile(make_star_soc(2))
+            sim = design.build_simulation(QSFP_AURORA, record_outputs=True)
+            return functional_digest(sim, sim.run(200, backend="inproc"))
+
+        first = build()
+        before = compile_source.cache_info()
+        second = build()
+        after = compile_source.cache_info()
+        assert second == first
+        assert after.misses == before.misses
+        assert after.hits > before.hits

@@ -1,9 +1,19 @@
 """Module and Circuit container behaviour."""
 
+import copy
+
 import pytest
 
 from repro.errors import IRError
-from repro.firrtl import ModuleBuilder, make_circuit
+from repro.firrtl import ModuleBuilder, make_circuit, print_circuit
+from repro.firrtl.ast import (
+    Connect,
+    InstTarget,
+    LocalTarget,
+    Lit,
+    PrimOp,
+    Ref,
+)
 from repro.firrtl.circuit import Circuit, Module
 
 
@@ -128,3 +138,38 @@ class TestMakeCircuit:
         b.connect(out, i["y"])
         c = make_circuit(b.build(), [leaf, unrelated])
         assert "Unused" not in c.modules
+
+
+def _stmt_ids(circuit):
+    return {id(x) for m in circuit.modules.values()
+            for x in m.ports + m.stmts}
+
+
+class TestSharing:
+    """Expressions and targets are immutable and shared between
+    circuits; ports and statements are owned by one module."""
+
+    def test_copies_of_immutable_values_are_the_value(self):
+        expr = PrimOp("add", (Ref("a", 4), Lit(1, 4)), 4)
+        for value in (expr, LocalTarget("y"), InstTarget("i", "a")):
+            assert copy.copy(value) is value
+            assert copy.deepcopy(value) is value
+
+    def test_clone_owns_statements_and_shares_exprs(self):
+        c = _two_level()
+        clone = c.clone()
+        assert print_circuit(clone) == print_circuit(c)
+        assert list(clone.modules) == list(c.modules)
+        assert _stmt_ids(clone).isdisjoint(_stmt_ids(c))
+        for name, m in c.modules.items():
+            for old, new in zip(m.stmts, clone.module(name).stmts):
+                if isinstance(old, Connect):
+                    assert new.expr is old.expr
+
+    def test_clone_statement_edit_leaves_original(self):
+        c = _two_level()
+        clone = c.clone()
+        clone.top_module.instance("middle").module = "Leaf"
+        clone.module("Leaf").ports[0].width = 8
+        assert c.top_module.instance("middle").module == "Mid"
+        assert c.module("Leaf").ports[0].width == 4

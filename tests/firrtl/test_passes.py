@@ -9,6 +9,7 @@ from repro.firrtl.ast import (
     DefInstance,
     LocalTarget,
     Lit,
+    MemReadPort,
     Port,
     Ref,
 )
@@ -52,6 +53,15 @@ class TestCheck:
         m = Module("T", [Port("a", "input", 4), Port("o", "output", 4)],
                    [Connect(LocalTarget("o"), Ref("a", 8))])
         with pytest.raises(IRError, match="width"):
+            check_circuit(Circuit("T", [m]))
+
+    def test_read_of_unknown_memory_port(self):
+        # the reference is checked before the read port itself, and
+        # still reports the memory the port names
+        m = Module("T", [Port("a", "input", 4), Port("o", "output", 4)],
+                   [Connect(LocalTarget("o"), Ref("rd", 4)),
+                    MemReadPort("ghost", "rd", Ref("a", 4))])
+        with pytest.raises(IRError, match="T: unknown memory 'ghost'"):
             check_circuit(Circuit("T", [m]))
 
     def test_missing_instance_module(self):

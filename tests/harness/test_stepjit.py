@@ -143,8 +143,10 @@ class TestGeneratedSources:
         # the comb-pair units all carry dep channels, which keeps them
         # on the generic tier; a corpus NoC scenario has dep-free units
         # that take the fused-kernel path
+        # in-process: the kernels are cached on this process's units,
+        # which a worker-process run would never touch
         sim = _fused_sim()
-        sim.run(10)
+        sim.run(10, backend="inproc")
         kernels = [getattr(unit, "_stepjit_kernels", None)
                    for part in sim.partitions.values()
                    for _, unit in part.units]
@@ -157,7 +159,7 @@ class TestGeneratedSources:
                     assert "def _k(env, mems" in fn._stepjit_source
         # a second run reuses the cache (same objects, no recompile)
         before = [id(k) for k in kernels if k]
-        sim.run(20)
+        sim.run(20, backend="inproc")
         after = [id(getattr(unit, "_stepjit_kernels", None))
                  for part in sim.partitions.values()
                  for _, unit in part.units

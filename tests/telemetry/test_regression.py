@@ -17,10 +17,21 @@ from repro.telemetry import (
     run_gate,
     save_baseline,
 )
+from repro.telemetry.regression import BENCH_GATES
 
 BASE = {"pair_exact_qsfp": 1000.0, "pair_fast_qsfp": 3000.0}
 
 RESULTS = Path(__file__).resolve().parents[2] / "results"
+
+
+def copy_results(dest: Path) -> Path:
+    """Copy the committed ``BENCH_*.json`` files into ``dest``: the gate
+    fails closed on a missing file, so a test that changes one file
+    starts from the full set."""
+    dest.mkdir(parents=True, exist_ok=True)
+    for path in RESULTS.glob("BENCH_*.json"):
+        shutil.copy(path, dest / path.name)
+    return dest
 
 
 class TestBaselineFile:
@@ -86,6 +97,7 @@ class TestCheckRun:
 
 class TestCheckBenchFiles:
     def test_overhead_above_bound_flags(self, tmp_path):
+        copy_results(tmp_path)
         (tmp_path / "BENCH_trace_overhead.json").write_text(json.dumps({
             "bound_pct": 5.0,
             "null_overhead_pct": 1.0,
@@ -97,6 +109,7 @@ class TestCheckBenchFiles:
             == ["null_metrics_overhead_pct"]
 
     def test_batching_slower_than_per_token_flags(self, tmp_path):
+        copy_results(tmp_path)
         (tmp_path / "BENCH_socket_tier.json").write_text(json.dumps({
             "socket_batching_speedup": 0.8,
             "detail_bit_identical": True,
@@ -106,6 +119,7 @@ class TestCheckBenchFiles:
             == ["socket_batching_speedup"]
 
     def test_token_plane_below_floors_flags(self, tmp_path):
+        copy_results(tmp_path)
         (tmp_path / "BENCH_token_plane.json").write_text(json.dumps({
             "packed_codec_speedup": 4.2,
             "detail_bit_identical": False,
@@ -115,6 +129,7 @@ class TestCheckBenchFiles:
             "packed_codec_speedup", "detail_bit_identical"]
 
     def test_token_plane_at_floors_passes(self, tmp_path):
+        copy_results(tmp_path)
         (tmp_path / "BENCH_token_plane.json").write_text(json.dumps({
             "packed_codec_speedup": 5.0,
             "detail_bit_identical": True,
@@ -122,6 +137,7 @@ class TestCheckBenchFiles:
         assert check_bench_files(tmp_path) == []
 
     def test_fuzz_corpus_violations_flag(self, tmp_path):
+        copy_results(tmp_path)
         (tmp_path / "BENCH_fuzz_corpus.json").write_text(json.dumps({
             "scenarios": 40,
             "distinct_fingerprints": 39,
@@ -135,6 +151,7 @@ class TestCheckBenchFiles:
             "shapes_covered"]
 
     def test_fuzz_corpus_clean_passes(self, tmp_path):
+        copy_results(tmp_path)
         (tmp_path / "BENCH_fuzz_corpus.json").write_text(json.dumps({
             "scenarios": 40,
             "distinct_fingerprints": 40,
@@ -145,6 +162,7 @@ class TestCheckBenchFiles:
         assert check_bench_files(tmp_path) == []
 
     def test_service_violations_flag(self, tmp_path):
+        copy_results(tmp_path)
         (tmp_path / "BENCH_service.json").write_text(json.dumps({
             "cached_speedup": 6.0,
             "cached_speedup_floor": 10.0,
@@ -157,6 +175,7 @@ class TestCheckBenchFiles:
             "cached_speedup", "detail_bit_identical", "executions"]
 
     def test_service_clean_passes(self, tmp_path):
+        copy_results(tmp_path)
         (tmp_path / "BENCH_service.json").write_text(json.dumps({
             "cached_speedup": 113.0,
             "cached_speedup_floor": 10.0,
@@ -167,6 +186,7 @@ class TestCheckBenchFiles:
         assert check_bench_files(tmp_path) == []
 
     def test_stepjit_violations_flag(self, tmp_path):
+        copy_results(tmp_path)
         (tmp_path / "BENCH_stepjit.json").write_text(json.dumps({
             "speedup": 3.2,
             "speedup_floor": 5.0,
@@ -177,6 +197,7 @@ class TestCheckBenchFiles:
             "speedup", "detail_bit_identical"]
 
     def test_stepjit_clean_passes(self, tmp_path):
+        copy_results(tmp_path)
         (tmp_path / "BENCH_stepjit.json").write_text(json.dumps({
             "speedup": 19.5,
             "speedup_floor": 5.0,
@@ -184,14 +205,34 @@ class TestCheckBenchFiles:
         }))
         assert check_bench_files(tmp_path) == []
 
-    def test_empty_results_dir_passes(self, tmp_path):
+    def test_empty_results_dir_fails_closed(self, tmp_path):
+        violations = check_bench_files(tmp_path)
+        assert [(v.source, v.metric) for v in violations] \
+            == [(name, metric) for name, metric, _, _ in BENCH_GATES]
+        assert all(v.describe().endswith("missing") for v in violations)
+
+    def test_missing_file_fails_closed(self, tmp_path):
+        """A bench that stops writing its file fails every gate on it
+        instead of silently passing them."""
+        copy_results(tmp_path)
         assert check_bench_files(tmp_path) == []
+        (tmp_path / "BENCH_socket_tier.json").unlink()
+        violations = check_bench_files(tmp_path)
+        assert [v.metric for v in violations] \
+            == ["socket_batching_speedup", "detail_bit_identical"]
+        assert all(v.describe().endswith("missing") for v in violations)
+
+    def test_unparseable_file_fails_closed(self, tmp_path):
+        copy_results(tmp_path)
+        (tmp_path / "BENCH_stepjit.json").write_text("{not json")
+        violations = check_bench_files(tmp_path)
+        assert [v.metric for v in violations] \
+            == ["speedup", "detail_bit_identical"]
 
     def test_missing_metric_fails_closed(self, tmp_path):
         """A bench file that stops writing a gated metric fails its
         gate instead of silently passing it."""
-        for path in RESULTS.glob("BENCH_*.json"):
-            shutil.copy(path, tmp_path / path.name)
+        copy_results(tmp_path)
         assert check_bench_files(tmp_path) == []
         path = tmp_path / "BENCH_socket_tier.json"
         bench = json.loads(path.read_text())
@@ -207,6 +248,7 @@ class TestGate:
     def test_acceptance_gate_catches_injected_slowdown(self, tmp_path):
         """Acceptance criterion: against a freshly updated baseline a
         clean gate passes and an injected >10% slowdown fails."""
+        copy_results(tmp_path)
         update = run_gate(results_dir=tmp_path, update=True)
         assert update.updated_path is not None
         assert load_baseline(tmp_path) == update.measured
@@ -232,6 +274,8 @@ class TestGate:
             assert slowed[name] == pytest.approx(full[name] * 0.8)
 
     def test_missing_baseline_reports_rates_only(self, tmp_path):
+        copy_results(tmp_path)
+        (tmp_path / "BENCH_rates.json").unlink()
         report = run_gate(results_dir=tmp_path)
         assert report.ok
         assert "no committed baseline" in report.to_text()

@@ -6,6 +6,8 @@ from repro.cli import main
 from repro.firrtl import parse_circuit, print_circuit
 from repro.targets import make_comb_pair_circuit
 
+from .telemetry.test_regression import copy_results
+
 
 @pytest.fixture
 def circuit_file(tmp_path):
@@ -205,7 +207,7 @@ class TestTelemetryCLI:
         assert "no status" in capsys.readouterr().err
 
     def test_regress_update_then_gate(self, tmp_path, capsys):
-        results = tmp_path / "results"
+        results = copy_results(tmp_path / "results")
         rc = main(["regress", "--results-dir", str(results),
                    "--update"])
         out = capsys.readouterr().out
@@ -220,7 +222,7 @@ class TestTelemetryCLI:
 
     def test_regress_fails_on_injected_slowdown(self, tmp_path,
                                                 capsys):
-        results = tmp_path / "results"
+        results = copy_results(tmp_path / "results")
         assert main(["regress", "--results-dir", str(results),
                      "--update"]) == 0
         capsys.readouterr()
